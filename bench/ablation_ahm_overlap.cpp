@@ -1,4 +1,4 @@
-// Ablation bench (DESIGN.md design-choice index): how much do the two
+// Ablation bench: how much do the two
 // overlap mechanisms the paper builds — double buffering that hides the
 // AHM's profiling/format/layout stream work (Section V-B3), and the
 // pipelined runtime that hides K2P mapping behind the previous kernel

@@ -1,9 +1,9 @@
-// Ablation (DESIGN.md design-choice index): how faithful is the Analyzer's
-// closed-form performance model (Table IV) to the detailed dataflow models
-// of the three execution modes (systolic fill/drain, ISN bank conflicts,
-// SCP row imbalance)? The K2P decisions rest on the closed forms; this
-// bench quantifies the gap across the density grid and checks that the
-// *choice* the closed forms imply stays optimal under the detailed costs.
+// Ablation: how faithful is the Analyzer's closed-form performance model
+// (Table IV) to the detailed dataflow models of the three execution modes
+// (systolic fill/drain, ISN bank conflicts, SCP row imbalance)? The K2P
+// decisions rest on the closed forms; this bench quantifies the gap across
+// the density grid and checks that the *choice* the closed forms imply
+// stays optimal under the detailed costs.
 
 #include <cstdio>
 

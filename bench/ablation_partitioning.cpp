@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md design-choice index): the data-partitioning choices
+// Ablation: the data-partitioning choices
 // of Algorithm 9 — the load-balance factor eta and the partition-size
 // bounds. Sweeps eta and a forced partition size on PubMed/GCN and
 // reports latency + core load imbalance, checking the paper's rationale:

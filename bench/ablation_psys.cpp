@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md design-choice index): Computation Core width psys.
+// Ablation: Computation Core width psys.
 // The paper implements psys = 16 and notes psys >= 8 is feasible on the
 // U250 (Section VI-A). The SpDMM/SPMM crossover amax = 2/psys moves with
 // the width, so the primitive mix and the dynamic strategy's advantage

@@ -2,9 +2,9 @@
 // Shared plumbing for the table/figure reproduction benches.
 //
 // Every bench prints the paper's rows as aligned text plus `# paper:`
-// annotations with the published values, so EXPERIMENTS.md is regenerated
-// by simply running every binary (see DESIGN.md, "Benchmark output
-// contract"). Datasets are generated at their default bench scale; pass
+// annotations with the published values, so the reproduced results are
+// regenerated by simply running every binary (README, "Build, test,
+// bench"). Datasets are generated at their default bench scale; pass
 // `--scale N` to override (1 = paper-size graphs, slower), `--seed S` for
 // a different synthetic instance.
 

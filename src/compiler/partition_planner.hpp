@@ -9,7 +9,7 @@
 // N2 is fixed first from the Update kernels, then N1 from the Aggregate
 // kernels (paper's two-step order), followed by a repair pass that
 // enforces the task-count constraint under this library's task tiling
-// (Update tasks produce N1 x N2 output tiles; see DESIGN.md).
+// (Update tasks produce N1 x N2 output tiles).
 
 #include <cstdint>
 #include <vector>

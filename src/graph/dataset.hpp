@@ -4,8 +4,9 @@
 // Table VI of the paper gives, per dataset: |V|, |E|, feature dimension,
 // class count, density of the adjacency matrix A (implied by |V| and |E|)
 // and density of the input feature matrix H0. We regenerate graphs and
-// features synthetically to match those statistics; DESIGN.md documents
-// why this substitution preserves every reported experiment.
+// features synthetically to match those statistics. The substitution
+// preserves the reported experiments because K2P decisions and the cycle
+// model consume only shapes and per-tile densities, never the values.
 //
 // The two largest graphs (NELL, Reddit) carry a default `bench_scale`
 // that divides |V| and |E| so functional simulation stays tractable;

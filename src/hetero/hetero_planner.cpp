@@ -79,7 +79,8 @@ HeteroPlan plan_heterogeneous(const CompiledProgram& prog,
 
   // DP over the chain: best[i][d] = min cost of kernels 0..i with kernel
   // i on device d. (Branch inputs — GraphSAGE's add_input — follow the
-  // chain approximation; see DESIGN.md.)
+  // chain approximation: only the move from kernel i-1's device into
+  // kernel i is charged, never a branch input's own transfer.)
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::array<double, kNumDevices>> best(
       n, {kInf, kInf, kInf});

@@ -29,7 +29,7 @@ std::vector<DenseMatrix> reference_inference(const GnnModel& model, const Graph&
       } else {
         // Max/Min aggregation: reduce per output row over weighted
         // neighbor contributions; accumulator starts at 0 (features are
-        // non-negative post-ReLU; documented in DESIGN.md).
+        // non-negative post-ReLU).
         out = DenseMatrix(op.rows(), in.cols(), Layout::kRowMajor);
         for (std::int64_t r = 0; r < op.rows(); ++r)
           for (std::int64_t e = op.row_begin(r); e < op.row_end(r); ++e) {

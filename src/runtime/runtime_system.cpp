@@ -101,9 +101,9 @@ double detailed_pair_cycles(const PairDecision& d, const Tile& x, const Tile& y,
 }
 
 // ---------------------------------------------------------------------------
-// Per-kernel execution phases, shared verbatim between the solo execute()
-// and the fused execute_batch() below. Any change to one path IS a change
-// to the other — that is what keeps batched results bit-identical to solo.
+// Per-kernel execution phases of run_kernels() below: the one kernel loop
+// behind both execute() (a one-member batch) and execute_batch(), which is
+// what keeps batched results bit-identical to solo.
 // ---------------------------------------------------------------------------
 
 /// Everything one kernel instance carries between phases.
@@ -347,56 +347,8 @@ void finalize_result(const SimConfig& cfg, const RuntimeOptions& opt,
   if (!node_outputs.empty()) result.output = std::move(node_outputs.back());
 }
 
-}  // namespace
-
-ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
-                        const CancellationToken& token) {
-  const SimConfig& cfg = prog.config;
-  ComputeCoreModel core(cfg);
-  SoftProcessor soft(cfg);
-  const double thr = cfg.sparse_storage_threshold;
-
-  ExecutionResult result;
-  result.kernels.reserve(prog.kernels.size());
-  std::vector<PartitionedMatrix> node_outputs(prog.kernels.size());
-
-  for (std::size_t l = 0; l < prog.kernels.size(); ++l) {
-    const KernelIR& ir = prog.kernels[l];
-    // Kernel boundary: the cooperative abort point (never mid-kernel, so
-    // a run that finishes is bit-identical to an uncancellable one) and
-    // the chaos layer's transient-execution-failure site.
-    token.check();
-    if (fault_point(kFaultRuntimeKernelFault))
-      throw FaultInjectedError("injected kernel fault (node " +
-                               std::to_string(ir.node_id) + ")");
-    KernelPass kp = begin_kernel(prog, l, node_outputs);
-
-    // ---- Functional execution (work-stealing host pool; each task owns
-    // its output tile, so parallel writes never alias, and the chunks of
-    // this one loop fan out across every idle worker — concurrent
-    // requests share the same pool without serializing). ------------------
-    if (opt.functional) {
-      parallel_for(
-          static_cast<std::int64_t>(kp.tasks.size()),
-          [&](std::int64_t ti) {
-            run_functional_task(kp, kp.tasks[static_cast<std::size_t>(ti)], thr);
-          },
-          opt.host_threads);
-      finish_functional(kp, node_outputs, thr);
-    }
-
-    price_and_schedule(prog, opt, kp, core, soft, result);
-    node_outputs[static_cast<std::size_t>(ir.node_id)] = std::move(kp.out);
-  }
-
-  finalize_result(cfg, opt, node_outputs, result);
-  return result;
-}
-
-namespace {
-
-/// Per-member running state of a fused batch — exactly the locals of one
-/// solo execute() call, boxed so members advance in lockstep.
+/// Per-member running state of a batch: one request's execution locals,
+/// boxed so members advance in lockstep.
 struct MemberRun {
   const CompiledProgram* prog;
   const RuntimeOptions* opt;
@@ -445,7 +397,7 @@ bool batch_compatible(const std::vector<BatchMember>& members) {
 /// Tighter of the members' host-thread caps (0 = uncapped) for the fused
 /// loops. Results are thread-count-invariant, so this only affects
 /// wall-clock, never bit-identity.
-int fused_thread_cap(const std::vector<MemberRun>& runs,
+int fused_thread_cap(const MemberRun* runs,
                      const std::vector<std::size_t>& live) {
   int cap = 0;
   for (std::size_t m : live) {
@@ -455,42 +407,21 @@ int fused_thread_cap(const std::vector<MemberRun>& runs,
   return cap;
 }
 
-}  // namespace
-
-BatchExecution execute_batch(const std::vector<BatchMember>& members) {
-  BatchExecution bx;
-  bx.members.resize(members.size());
-  if (members.empty()) return bx;
-
-  // Non-batchable group (caller mixed plan shapes): solo per member.
-  if (!batch_compatible(members)) {
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      try {
-        bx.members[m].result =
-            execute(*members[m].prog, members[m].opt, members[m].token);
-      } catch (...) {
-        bx.members[m].error = std::current_exception();
-      }
-    }
-    return bx;
-  }
-
-  std::vector<MemberRun> runs;
-  runs.reserve(members.size());
-  for (const BatchMember& m : members) runs.emplace_back(m);
-
-  const std::size_t num_kernels = members[0].prog->kernels.size();
-  bx.total_kernels = static_cast<std::int64_t>(num_kernels);
-
+/// Run `n` structurally batchable members through every kernel in
+/// lockstep; returns how many kernels ran as a shared-X sweep.
+std::int64_t run_kernels(MemberRun* runs, std::size_t n) {
+  std::int64_t fused_kernels = 0;
+  const std::size_t num_kernels = runs[0].prog->kernels.size();
   for (std::size_t l = 0; l < num_kernels; ++l) {
-    // Kernel boundary, per member in index order: each member's token
-    // check and runtime.kernel_fault draw happen exactly as in its solo
-    // run, so an abort or injected fault drops THAT member from the batch
-    // and its batchmates continue. Member order is fixed, which keeps
-    // chaos outcomes seed-reproducible for a given batch composition.
-    std::vector<KernelPass> passes(runs.size());
+    // Kernel boundary, per member in index order: the cooperative abort
+    // point (never mid-kernel, so a run that finishes is bit-identical to
+    // an uncancellable one) and the chaos layer's transient-execution-
+    // failure site. An abort or injected fault drops THAT member and its
+    // batchmates continue; the fixed member order keeps chaos outcomes
+    // seed-reproducible for a given batch composition.
+    std::vector<KernelPass> passes(n);
     std::vector<std::size_t> live;
-    for (std::size_t m = 0; m < runs.size(); ++m) {
+    for (std::size_t m = 0; m < n; ++m) {
       if (!runs[m].live()) continue;
       try {
         runs[m].token.check();
@@ -506,64 +437,75 @@ BatchExecution execute_batch(const std::vector<BatchMember>& members) {
     }
     if (live.empty()) break;
 
-    // ---- Fused functional execution ------------------------------------
-    // Shared-sweep eligibility: every live member reads the SAME X operand
-    // object (pointer equality — the tile pool's dataset-keyed sharing, or
-    // a literally shared program) under the same accumulation op. Then one
-    // pass over X's tiles feeds every member's accumulator — the batched
-    // spmm/spdmm sweep. Otherwise (Update kernels, pool off) the members'
-    // tasks still fuse into one flat parallel loop over (member, task).
-    const std::vector<Task>& tasks0 = passes[live[0]].tasks;
-    bool all_functional = true, shared_x = true, same_op = true;
+    // ---- Functional execution (work-stealing host pool) ----------------
+    // The mapping picks which primitive runs a pair, never what the pair
+    // computes, so live members sharing a program produce the same output
+    // bits. Only the first live functional member of each program (its
+    // worker) does the math; `source` names the worker each member copies
+    // from. Workers are re-picked every kernel, so a worker that drops out
+    // hands the role to its next live sibling.
+    std::vector<std::size_t> workers, source(n);
     for (std::size_t m : live) {
-      if (!runs[m].opt->functional) all_functional = false;
-      if (passes[m].ops.x != passes[live[0]].ops.x) shared_x = false;
-      if (passes[m].ir->spec.op != passes[live[0]].ir->spec.op) same_op = false;
+      if (!runs[m].opt->functional) continue;
+      std::size_t w = 0;
+      while (w < workers.size() && runs[workers[w]].prog != runs[m].prog) ++w;
+      if (w == workers.size()) workers.push_back(m);
+      source[m] = workers[w];
     }
-    const bool fused_sweep =
-        all_functional && shared_x && same_op && live.size() >= 2;
+    // Shared-sweep eligibility: every worker reads the SAME X operand
+    // object (pointer equality — the tile pool's dataset-keyed sharing)
+    // under the same accumulation op. Then one pass over X's tiles feeds
+    // every worker's accumulator — the batched spmm/spdmm sweep.
+    // Otherwise (Update kernels, pool off, one worker) the workers' tasks
+    // run as one flat parallel loop over (worker, task); each task owns
+    // its output tile, so parallel writes never alias.
+    bool shared_x = true, same_op = true;
+    for (std::size_t m : workers) {
+      if (passes[m].ops.x != passes[workers[0]].ops.x) shared_x = false;
+      if (passes[m].ir->spec.op != passes[workers[0]].ir->spec.op)
+        same_op = false;
+    }
+    const bool fused_sweep = shared_x && same_op && workers.size() >= 2;
     const int threads = fused_thread_cap(runs, live);
     try {
       if (fused_sweep) {
-        ++bx.fused_kernels;
-        const PartitionedMatrix& X = *passes[live[0]].ops.x;
-        const AccumOp op = passes[live[0]].ir->spec.op;
+        ++fused_kernels;
+        const std::vector<Task>& tasks0 = passes[workers[0]].tasks;
+        const PartitionedMatrix& X = *passes[workers[0]].ops.x;
+        const AccumOp op = passes[workers[0]].ir->spec.op;
         parallel_for(
             static_cast<std::int64_t>(tasks0.size()),
             [&](std::int64_t ti) {
               const Task& t = tasks0[static_cast<std::size_t>(ti)];
-              // One accumulator per member; each member's accumulation
+              // One accumulator per worker; each worker's accumulation
               // order over j (and within each tile product) is exactly its
               // solo order — only the X tile streams are shared.
               std::vector<DenseMatrix> accs;
-              accs.reserve(live.size());
-              for (std::size_t m : live)
+              accs.reserve(workers.size());
+              for (std::size_t m : workers)
                 accs.emplace_back(passes[m].out.tile_row_count(t.out_gi),
                                   passes[m].out.tile_col_count(t.out_gk),
                                   Layout::kRowMajor);
-              std::vector<const Tile*> ys(live.size());
-              std::vector<DenseMatrix*> zs(live.size());
+              std::vector<const Tile*> ys(workers.size());
+              std::vector<DenseMatrix*> zs(workers.size());
               for (std::int64_t j = 0; j < t.inner_steps; ++j) {
-                for (std::size_t i = 0; i < live.size(); ++i) {
-                  ys[i] = &passes[live[i]].ops.y->tile(j, t.out_gk);
+                for (std::size_t i = 0; i < workers.size(); ++i) {
+                  ys[i] = &passes[workers[i]].ops.y->tile(j, t.out_gk);
                   zs[i] = &accs[i];
                 }
                 accumulate_product_batched(X.tile(t.out_gi, j), ys, zs, op);
               }
-              for (std::size_t i = 0; i < live.size(); ++i)
-                passes[live[i]].out.set_tile_from_dense(
-                    t.out_gi, t.out_gk, std::move(accs[i]), runs[live[i]].thr);
+              for (std::size_t i = 0; i < workers.size(); ++i)
+                passes[workers[i]].out.set_tile_from_dense(
+                    t.out_gi, t.out_gk, std::move(accs[i]),
+                    runs[workers[i]].thr);
             },
             threads);
       } else {
-        // Flat fusion: every live functional member's tasks in one
-        // parallel loop. Task math is run_functional_task — the solo body.
         std::vector<std::pair<std::size_t, std::size_t>> flat;
-        for (std::size_t m : live) {
-          if (!runs[m].opt->functional) continue;
+        for (std::size_t m : workers)
           for (std::size_t ti = 0; ti < passes[m].tasks.size(); ++ti)
             flat.emplace_back(m, ti);
-        }
         parallel_for(
             static_cast<std::int64_t>(flat.size()),
             [&](std::int64_t i) {
@@ -572,12 +514,14 @@ BatchExecution execute_batch(const std::vector<BatchMember>& members) {
             },
             threads);
       }
+      for (std::size_t m : workers)
+        finish_functional(passes[m], runs[m].node_outputs, runs[m].thr);
       for (std::size_t m : live)
-        if (runs[m].opt->functional)
-          finish_functional(passes[m], runs[m].node_outputs, runs[m].thr);
+        if (runs[m].opt->functional && source[m] != m)
+          passes[m].out = passes[source[m]].out;
     } catch (...) {
-      // A failure inside the fused sweep (allocation, library error) has
-      // no single owner: fail every still-live member with it. Member-
+      // A failure inside the functional phase (allocation, library error)
+      // has no single owner: fail every still-live member with it. Member-
       // attributable failures (tokens, chaos faults) only occur at the
       // kernel boundary above.
       std::exception_ptr err = std::current_exception();
@@ -592,6 +536,34 @@ BatchExecution execute_batch(const std::vector<BatchMember>& members) {
       runs[m].node_outputs[static_cast<std::size_t>(passes[m].ir->node_id)] =
           std::move(passes[m].out);
     }
+  }
+  return fused_kernels;
+}
+
+}  // namespace
+
+ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
+                        const CancellationToken& token) {
+  BatchExecution bx = execute_batch({BatchMember{&prog, opt, token}});
+  if (bx.members[0].error) std::rethrow_exception(bx.members[0].error);
+  return std::move(bx.members[0].result);
+}
+
+BatchExecution execute_batch(const std::vector<BatchMember>& members) {
+  BatchExecution bx;
+  bx.members.resize(members.size());
+  if (members.empty()) return bx;
+
+  std::vector<MemberRun> runs;
+  runs.reserve(members.size());
+  for (const BatchMember& m : members) runs.emplace_back(m);
+  if (batch_compatible(members)) {
+    bx.total_kernels =
+        static_cast<std::int64_t>(members[0].prog->kernels.size());
+    bx.fused_kernels = run_kernels(runs.data(), runs.size());
+  } else {
+    // Non-batchable group (caller mixed plan shapes): each member alone.
+    for (MemberRun& r : runs) run_kernels(&r, 1);
   }
 
   for (std::size_t m = 0; m < runs.size(); ++m) {

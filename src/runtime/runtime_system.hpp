@@ -6,8 +6,11 @@
 //   1. the Analyzer walks every task's tile pairs, fetches the profiled
 //      densities, and maps each pair to a primitive (Algorithm 7) under
 //      the configured strategy — charging soft-processor cycles;
-//   2. the functional result of every task is computed (host thread pool;
-//      numerically identical whatever the mapping, see DESIGN.md);
+//   2. the functional result of every task is computed (host thread pool).
+//      The mapping picks which primitive runs a pair, never what the pair
+//      computes: every primitive yields the same product bits, so the
+//      result is identical whatever the strategy, and a batch computes
+//      it once per distinct program, not once per member;
 //   3. every task is priced by the ComputeCoreModel and the Scheduler's
 //      greedy list schedule (Algorithm 8) yields the kernel makespan;
 //   4. the output matrix is stored tile-by-tile, re-profiled by the
@@ -108,7 +111,8 @@ struct ExecutionResult {
   std::vector<KernelTimeline> timeline;
 };
 
-/// Execute `prog`. `token` (optional; see util/cancellation.hpp) is
+/// Execute `prog`: the one-member case of execute_batch(), rethrowing
+/// that member's error. `token` (optional; see util/cancellation.hpp) is
 /// checked at every kernel boundary: a cancelled or deadline-expired
 /// request aborts with the typed error between kernels, never mid-kernel
 /// — so an execution that *completes* is bit-identical to an
@@ -122,8 +126,9 @@ ExecutionResult execute(const CompiledProgram& prog, const RuntimeOptions& opt,
 /// One member of a fused cross-request batch. Members are grouped by the
 /// service on equal plan_signature + dataset_signature, so their programs
 /// share partition geometry and (when the tile pool is on) pointer-equal
-/// adjacency operands — but each member keeps its own program (weights
-/// may differ), options, and cancellation token.
+/// adjacency operands — but each member keeps its own program pointer
+/// (weights may differ; the strategies of one cached program share it),
+/// options, and cancellation token.
 struct BatchMember {
   const CompiledProgram* prog = nullptr;
   RuntimeOptions opt;
@@ -143,29 +148,39 @@ struct BatchMemberResult {
 struct BatchExecution {
   std::vector<BatchMemberResult> members;  // one per input, same order
   /// Kernels whose functional math ran as ONE sweep over a shared
-  /// (pointer-equal) X operand feeding every live member — the fused
-  /// multi-feature path. Kernels with per-member X (Update kernels, or
-  /// aggregates when the tile pool is off) still execute inside one flat
-  /// cross-member parallel loop, they just don't share operand streams.
+  /// (pointer-equal) X operand feeding two or more distinct live
+  /// programs — the fused multi-feature path. Kernels with per-program X
+  /// (Update kernels, or aggregates when the tile pool is off), or with
+  /// one distinct program, still execute inside one flat cross-program
+  /// parallel loop, they just don't share operand streams.
   std::int64_t fused_kernels = 0;
   std::int64_t total_kernels = 0;
 };
 
 /// Execute several plan-compatible programs as one fused batch.
 ///
+/// Functional work runs once per distinct program per kernel: the first
+/// live member (in member order) with opt.functional set does the math
+/// for every live functional member holding the same `prog` pointer, and
+/// each sibling gets a copy of that output before its own pricing. The
+/// role is re-picked every kernel, so a member that is cancelled, expires
+/// or is faulted hands it to a surviving sibling.
+///
 /// Determinism contract: every member's completed ExecutionResult is
 /// BIT-IDENTICAL to solo execute() with the same (prog, opt) — fusion
-/// only restructures scheduling (which tasks run concurrently), never a
-/// member's per-element FP operation sequence, its primitive dispatch,
-/// or its pricing reduction shape. Per-member isolation mirrors solo
-/// semantics at every kernel boundary, in member order: the member's
-/// token is checked and the runtime.kernel_fault chaos site is drawn
-/// once per member, so a cancelled/expired/faulted member drops out of
-/// the batch alone and its batchmates continue unperturbed. An exception
-/// escaping the fused functional sweep itself (e.g. allocation failure —
-/// not attributable to one member) fails every still-live member.
+/// only restructures scheduling (which tasks run concurrently, and which
+/// member computes a shared program's output), never a member's
+/// per-element FP operation sequence, its primitive dispatch, or its
+/// pricing reduction shape. K2P analysis, pricing, the schedule and the
+/// soft-processor accounting stay per member. Per-member isolation
+/// mirrors solo semantics at every kernel boundary, in member order: the
+/// member's token is checked and the runtime.kernel_fault chaos site is
+/// drawn once per member, so a cancelled/expired/faulted member drops out
+/// of the batch alone and its batchmates continue unperturbed. An exception
+/// escaping the functional phase itself (e.g. allocation failure — not
+/// attributable to one member) fails every still-live member.
 ///
-/// Falls back to per-member solo execution when the programs are not
+/// Runs each member alone, one after another, when the programs are not
 /// structurally batchable (different kernel sequences or partition
 /// geometry) — callers may pass any group; compatible grouping only
 /// affects speed, never correctness.

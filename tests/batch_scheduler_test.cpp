@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -220,6 +221,46 @@ TEST(BatchServiceFusion, FusedReportsAreBitIdenticalToSoloAcrossSweep) {
       EXPECT_GT(bs.mean_occupancy(), 1.0);
       svc.shutdown();
     }
+  }
+}
+
+TEST(BatchServiceFusion, StrategiesOfOneProgramFuseBitIdenticalToSolo) {
+  // Strategy is not part of the CompileKey, so the three strategies of one
+  // (model, dataset) share ONE cached program: the fused batch computes
+  // its functional math once and hands the output to all three members.
+  for (GnnModelKind kind : {GnnModelKind::kGcn, GnnModelKind::kSage}) {
+    auto ds = std::make_shared<const Dataset>(batch_dataset(41, "ST"));
+    Rng rng(7);
+    auto model = std::make_shared<const GnnModel>(
+        build_model(kind, ds->spec.feature_dim, ds->spec.hidden_dim,
+                    ds->spec.num_classes, rng));
+    std::vector<ServiceRequest> reqs;
+    std::vector<std::uint64_t> expected;
+    for (MappingStrategy s : {MappingStrategy::kStatic1,
+                              MappingStrategy::kStatic2,
+                              MappingStrategy::kDynamic}) {
+      ServiceRequest r;
+      r.model = model;
+      r.dataset = ds;
+      r.options.runtime.strategy = s;
+      expected.push_back(solo_fingerprint(r));
+      reqs.push_back(std::move(r));
+    }
+
+    ServiceOptions opts;
+    opts.workers = 1;
+    opts.batch_window_us = 3'000'000;
+    opts.max_batch_size = reqs.size();
+    InferenceService svc(opts);
+    const std::vector<InferenceReport> reps = svc.run_batch(std::move(reqs));
+    ASSERT_EQ(reps.size(), expected.size());
+    for (std::size_t i = 0; i < reps.size(); ++i)
+      EXPECT_EQ(reps[i].deterministic_fingerprint(), expected[i])
+          << "kind=" << static_cast<int>(kind) << " member=" << i;
+    const BatchStats bs = svc.batch_stats();
+    EXPECT_EQ(bs.fused_requests, 3)
+        << "expected the three strategies to execute as one fused batch";
+    svc.shutdown();
   }
 }
 

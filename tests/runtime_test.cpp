@@ -1,11 +1,15 @@
 // Integration-grade unit tests of the runtime system: functional
 // correctness against the naive reference, timing structure, strategy
-// behaviour, runtime-overhead accounting.
+// behaviour, runtime-overhead accounting, and fused batches bit-identical
+// to solo execution.
 
 #include <gtest/gtest.h>
 
 #include "compiler/compiler.hpp"
+#include "compiler/signature.hpp"
+#include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "matrix/tile_pool.hpp"
 #include "model/reference.hpp"
 #include "runtime/runtime_system.hpp"
 
@@ -215,6 +219,108 @@ TEST(RuntimeTimingTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.latency_ms, b.latency_ms);
   EXPECT_EQ(DenseMatrix::max_abs_diff(a.output.to_dense(), b.output.to_dense()), 0.0f);
 }
+
+// ---------------------------------------------------------------------
+// execute_batch: members that share a program run its functional math
+// once, yet every completed member must match its solo execute().
+// ---------------------------------------------------------------------
+
+/// Two weight draws over one dataset, compiled through one TilePool so
+/// their Aggregate kernels share the adjacency operand (shared-X sweep).
+std::vector<CompiledProgram> pooled_programs(GnnModelKind kind,
+                                             const Dataset& ds,
+                                             TilePool& pool) {
+  std::vector<CompiledProgram> progs;
+  for (std::uint64_t draw = 0; draw < 2; ++draw) {
+    Rng rng(100 + draw);
+    GnnModel model = build_model(kind, ds.spec.feature_dim, ds.spec.hidden_dim,
+                                 ds.spec.num_classes, rng);
+    progs.push_back(compile(model, ds, u250_config(), {},
+                            OperandSource{&pool, dataset_signature(ds)}));
+  }
+  return progs;
+}
+
+/// Each program under Static-1, Static-2 and Dynamic, program-major.
+std::vector<BatchMember> strategy_members(
+    const std::vector<CompiledProgram>& progs) {
+  std::vector<BatchMember> members;
+  for (const CompiledProgram& p : progs) {
+    for (MappingStrategy s : {MappingStrategy::kStatic1,
+                              MappingStrategy::kStatic2,
+                              MappingStrategy::kDynamic}) {
+      BatchMember m;
+      m.prog = &p;
+      m.opt.strategy = s;
+      members.push_back(m);
+    }
+  }
+  return members;
+}
+
+std::uint64_t fingerprint(const CompiledProgram& prog,
+                          const RuntimeOptions& opt, ExecutionResult r) {
+  return assemble_compiled_report(prog, opt, std::move(r))
+      .deterministic_fingerprint();
+}
+
+/// Every member of `members` from index `first` on completed and matches
+/// its solo run bit for bit.
+void expect_completed_match_solo(const std::vector<BatchMember>& members,
+                                 BatchExecution& bx, std::size_t first = 0) {
+  ASSERT_EQ(bx.members.size(), members.size());
+  for (std::size_t i = first; i < members.size(); ++i) {
+    const BatchMember& m = members[i];
+    ASSERT_FALSE(bx.members[i].error) << "member " << i;
+    EXPECT_EQ(fingerprint(*m.prog, m.opt, std::move(bx.members[i].result)),
+              fingerprint(*m.prog, m.opt, execute(*m.prog, m.opt)))
+        << "member " << i;
+  }
+}
+
+class SharedProgramBatch : public ::testing::TestWithParam<GnnModelKind> {};
+
+TEST_P(SharedProgramBatch, EveryStrategyMemberMatchesSolo) {
+  TestSetup s = make_setup(GetParam());
+  TilePool pool(8);
+  const std::vector<CompiledProgram> progs =
+      pooled_programs(GetParam(), s.ds, pool);
+  const std::vector<BatchMember> members = strategy_members(progs);
+  BatchExecution bx = execute_batch(members);
+  expect_completed_match_solo(members, bx);
+  EXPECT_GT(bx.fused_kernels, 0) << "no kernel ran as a shared-X sweep";
+}
+
+TEST_P(SharedProgramBatch, CancelledFirstMemberHandsTheWorkToItsSiblings) {
+  TestSetup s = make_setup(GetParam());
+  TilePool pool(8);
+  const std::vector<CompiledProgram> progs =
+      pooled_programs(GetParam(), s.ds, pool);
+  std::vector<BatchMember> members = strategy_members(progs);
+  CancellationSource cancelled;
+  cancelled.cancel();
+  members[0].token = cancelled.token();
+  BatchExecution bx = execute_batch(members);
+  ASSERT_TRUE(bx.members[0].error);
+  EXPECT_THROW(std::rethrow_exception(bx.members[0].error), CancelledError);
+  expect_completed_match_solo(members, bx, 1);
+}
+
+TEST_P(SharedProgramBatch, NonFunctionalMemberLeavesSiblingsIntact) {
+  TestSetup s = make_setup(GetParam());
+  TilePool pool(8);
+  const std::vector<CompiledProgram> progs =
+      pooled_programs(GetParam(), s.ds, pool);
+  std::vector<BatchMember> members = strategy_members(progs);
+  members[0].opt.functional = false;  // the first member of a program group
+  BatchExecution bx = execute_batch(members);
+  expect_completed_match_solo(members, bx);
+}
+
+// GraphSAGE covers the add_input combine in finish_functional.
+INSTANTIATE_TEST_SUITE_P(GcnAndSage, SharedProgramBatch,
+                         ::testing::Values(GnnModelKind::kGcn,
+                                           GnnModelKind::kSage));
 
 }  // namespace
 }  // namespace dynasparse
